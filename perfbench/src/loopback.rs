@@ -7,9 +7,13 @@
 //! and `Client::stats` directly, never through the 50 ms-sleep helpers.
 //! Traffic crosses the loopback device, not a real link.
 
-use crate::measure::{mean, median, nproc, percentile, Outcome};
+use crate::measure::{
+    mean, median, nproc, percentile, ratio, search_layer, Counts, Outcome, PerQuery, SearchState,
+    COUNTERS,
+};
 use crate::trace::Tracer;
 use crate::truth::{brute_force, check_contains, check_top_k, l2_f64, par_map, Truth};
+use crate::worlds::CORPUS_SEED;
 use node::client::{Client, Report};
 use node::runtime::{run_server, ServerOpts};
 use node::scenario::{Scenario, KNN_K};
@@ -32,37 +36,19 @@ const INGEST_CHUNK: usize = 50;
 /// Queries per round; the first round warms up.
 const BLOCK: usize = 500;
 /// Set-ups per run; `setup_s` is their median.
-const SETUP_REPS: usize = 9;
+const SETUP_REPS: usize = 21;
 /// Longest a query may take to show its complete answer.
 const QUERY_DEADLINE: Duration = Duration::from_secs(2);
 /// Longest the cluster may take to form, or to store a batch.
 const CLUSTER_DEADLINE: Duration = Duration::from_secs(20);
 
-/// Seed of the corpus.
-const CORPUS_SEED: u64 = 0x00C0_4B05;
-
 /// Queries per ten seconds of `--seconds`.
 const QUERIES_PER_10S: usize = 25_000;
-
-/// Counters summed over the members' `StatsReport`s.
-const COUNTERS: [&str; 11] = [
-    "search.msgs.route",
-    "search.msgs.refine",
-    "search.msgs.results",
-    "search.bytes.query",
-    "search.bytes.results",
-    "routing.splits",
-    "store.entries_scanned",
-    "store.entries_matched",
-    "store.entries_skipped",
-    "search.refine.pruned",
-    "search.refine.dist_calls",
-];
 
 /// Summed counters, publish-hop histogram `(count, sum)`, largest load
 /// and retained traces of a set of stats reports.
 struct Totals {
-    counters: [u64; 11],
+    counters: Counts,
     publish_hops: (u64, u64),
     load_max: u64,
     traces: u64,
@@ -92,14 +78,6 @@ impl Totals {
             t.traces += r.queries.len() as u64;
         }
         t
-    }
-
-    fn delta(&self, before: &Totals, name: &str) -> u64 {
-        let i = COUNTERS
-            .iter()
-            .position(|&c| c == name)
-            .expect("counter is in COUNTERS");
-        self.counters[i] - before.counters[i]
     }
 }
 
@@ -266,6 +244,9 @@ fn await_load(clients: &mut [Client], want: u64) -> Result<(), String> {
                 "members store {load} of {want} entries after the deadline"
             ));
         }
+        // A short pause, so the poll does not take a core from the
+        // members it waits for.
+        std::thread::sleep(Duration::from_micros(100));
     }
 }
 
@@ -451,6 +432,95 @@ fn round(
     (wall, all)
 }
 
+/// Timings of every set-up and ingest of a run.
+#[derive(Default)]
+struct Samples {
+    /// Seconds per set-up: bootstrap plus load.
+    setup_s: Vec<f64>,
+    /// Seconds until every member served clients.
+    bootstrap_s: Vec<f64>,
+    /// Seconds to store the initial corpus.
+    load_s: Vec<f64>,
+    /// Publishes per second of each ingest chunk but the first.
+    ingest: Vec<f64>,
+}
+
+/// A cluster that has been set up and ingested into. Fields drop in
+/// order: the clients close before the cluster shuts down.
+struct Formed {
+    control: Vec<Client>,
+    conns: Vec<Vec<Client>>,
+    /// Publish-hop histogram `(count, sum)` before the ingest.
+    hops_before: (u64, u64),
+    cluster: Cluster,
+}
+
+/// One timed set-up (bootstrap plus the initial corpus stored), then
+/// the held-out objects published through the client plane, timed in
+/// chunks until the members store them.
+fn form_and_ingest(
+    sc: Scenario,
+    w: &World,
+    workers: usize,
+    tr: &mut Tracer,
+    samples: &mut Samples,
+) -> Result<Formed, String> {
+    let rep = samples.setup_s.len() as u64;
+    if tr.on() {
+        // The routing tables every member builds for itself.
+        let span = tr.begin("chord.tables", rep);
+        let tables = sc.ring().build_all_tables(16, None, 16);
+        tr.end(span);
+        drop(tables);
+    }
+    let setup = tr.begin("setup", rep);
+    let t = Instant::now();
+    let span = tr.begin("node.bootstrap", rep);
+    let cluster = Cluster::start(sc)?;
+    let mut control = cluster.clients()?;
+    let conns = (0..workers)
+        .map(|_| cluster.clients())
+        .collect::<Result<Vec<_>, _>>()?;
+    tr.end(span);
+    let t_boot = t.elapsed().as_secs_f64();
+    let span = tr.begin("node.load", rep);
+    for (i, p) in w.points[..BASE].iter().enumerate() {
+        control[i % NODES].publish(0, i as u32, p)?;
+    }
+    await_load(&mut control, BASE as u64)?;
+    tr.end(span);
+    let total = t.elapsed().as_secs_f64();
+    tr.end(setup);
+    samples.setup_s.push(total);
+    samples.bootstrap_s.push(t_boot);
+    samples.load_s.push(total - t_boot);
+
+    let hops_before = Totals::of(&stats(&mut control)?).publish_hops;
+    for (c, chunk) in (BASE..BASE + HELDOUT)
+        .collect::<Vec<_>>()
+        .chunks(INGEST_CHUNK)
+        .enumerate()
+    {
+        let span = tr.begin("node.publish_chunk", c as u64);
+        let t = Instant::now();
+        for &obj in chunk {
+            control[obj % NODES].publish(0, obj as u32, &w.points[obj])?;
+        }
+        await_load(&mut control, (chunk[chunk.len() - 1] + 1) as u64)?;
+        let dt = t.elapsed().as_secs_f64();
+        tr.end(span);
+        if c > 0 {
+            samples.ingest.push(chunk.len() as f64 / dt);
+        }
+    }
+    Ok(Formed {
+        control,
+        conns,
+        hops_before,
+        cluster,
+    })
+}
+
 /// Run the workload and add its metrics to `out`.
 pub fn run(seed: u64, seconds: u64, tr: &mut Tracer, out: &mut Outcome) -> Result<(), String> {
     let n_queries = crate::worlds::queries_for(seconds, QUERIES_PER_10S, BLOCK) / BLOCK * BLOCK;
@@ -472,66 +542,18 @@ pub fn run(seed: u64, seconds: u64, tr: &mut Tracer, out: &mut Outcome) -> Resul
     };
     let workers = nproc().clamp(1, 2);
 
-    // Set-up (bootstrap + initial corpus) and ingest, several times.
-    let mut setup_s = Vec::new();
-    let mut bootstrap_s = Vec::new();
-    let mut load_s = Vec::new();
-    let mut ingest_rates = Vec::new();
-    let mut kept = None;
-    for rep in 0..SETUP_REPS {
-        drop(kept.take());
-        if tr.on() {
-            // The routing tables every member builds for itself.
-            let span = tr.begin("chord.tables", rep as u64);
-            let tables = sc.ring().build_all_tables(16, None, 16);
-            tr.end(span);
-            drop(tables);
-        }
-        let setup = tr.begin("setup", rep as u64);
-        let t = Instant::now();
-        let span = tr.begin("node.bootstrap", rep as u64);
-        let cluster = Cluster::start(sc)?;
-        let mut control = cluster.clients()?;
-        let conns = (0..workers)
-            .map(|_| cluster.clients())
-            .collect::<Result<Vec<_>, _>>()?;
-        tr.end(span);
-        let t_boot = t.elapsed().as_secs_f64();
-        let span = tr.begin("node.load", rep as u64);
-        for (i, p) in w.points[..BASE].iter().enumerate() {
-            control[i % NODES].publish(0, i as u32, p)?;
-        }
-        await_load(&mut control, BASE as u64)?;
-        tr.end(span);
-        let total = t.elapsed().as_secs_f64();
-        tr.end(setup);
-        setup_s.push(total);
-        bootstrap_s.push(t_boot);
-        load_s.push(total - t_boot);
-
-        let hops_before = Totals::of(&stats(&mut control)?).publish_hops;
-        for (c, chunk) in (BASE..BASE + HELDOUT)
-            .collect::<Vec<_>>()
-            .chunks(INGEST_CHUNK)
-            .enumerate()
-        {
-            let span = tr.begin("node.publish_chunk", c as u64);
-            let t = Instant::now();
-            for &obj in chunk {
-                control[obj % NODES].publish(0, obj as u32, &w.points[obj])?;
-            }
-            await_load(&mut control, (chunk[chunk.len() - 1] + 1) as u64)?;
-            let dt = t.elapsed().as_secs_f64();
-            tr.end(span);
-            if c > 0 {
-                ingest_rates.push(chunk.len() as f64 / dt);
-            }
-        }
-        // Tuple fields drop in order: the clients close before the
-        // cluster shuts down.
-        kept = Some((control, conns, hops_before, cluster));
-    }
-    let (mut control, mut conns, hops_before, cluster) = kept.take().expect("at least one set-up");
+    // Set-ups: the first forms the cluster the checks and the queries
+    // run on; each of the others forms a cluster of its own between
+    // query rounds, publishes the held-out objects into it and shuts
+    // it down. Set-up and ingest samples so span the run as the query
+    // rounds do.
+    let mut samples = Samples::default();
+    let Formed {
+        mut control,
+        mut conns,
+        hops_before,
+        cluster,
+    } = form_and_ingest(sc, &w, workers, tr, &mut samples)?;
 
     // Each held-out object must come back from a query centred on it.
     for h in 0..HELDOUT {
@@ -568,7 +590,12 @@ pub fn run(seed: u64, seconds: u64, tr: &mut Tracer, out: &mut Outcome) -> Resul
     let mut rtt_us = Vec::new();
     let mut frame_bytes = 0u64;
     let mut traced_queries = 0u64;
-    for r in 0..n_queries / BLOCK {
+    let rounds = n_queries / BLOCK;
+    let gap = (rounds / SETUP_REPS).max(1);
+    for r in 0..rounds {
+        if r % gap == 0 && r > 0 && samples.setup_s.len() < SETUP_REPS {
+            drop(form_and_ingest(sc, &w, workers, tr, &mut samples)?);
+        }
         let traced = tr.on() && r % 2 == 1;
         let (wall, log) = round(&w, &mut conns, r * BLOCK, traced, tr);
         for v in log.verdicts {
@@ -599,11 +626,13 @@ pub fn run(seed: u64, seconds: u64, tr: &mut Tracer, out: &mut Outcome) -> Resul
     drop(control);
     drop(cluster);
 
-    let nq = n_queries as f64;
-    let per_q = |name: &str| end.delta(&before, name) as f64 / nq;
-    let msgs =
-        per_q("search.msgs.route") + per_q("search.msgs.refine") + per_q("search.msgs.results");
-    let bytes = per_q("search.bytes.query") + per_q("search.bytes.results");
+    let Samples {
+        setup_s,
+        bootstrap_s,
+        load_s,
+        ingest: ingest_rates,
+    } = samples;
+    let per_q = PerQuery::new(&end.counters, &before.counters, n_queries);
     if lat_ms.is_empty() {
         return Err("no query completed in the timed rounds".into());
     }
@@ -613,8 +642,8 @@ pub fn run(seed: u64, seconds: u64, tr: &mut Tracer, out: &mut Outcome) -> Resul
         out.metric("query_p50_ms", median(&lat_ms), "ms");
         out.metric("query_p90_ms", percentile(&lat_ms, 90.0), "ms");
         out.metric("ingest_per_s", median(&ingest_rates), "1/s");
-        out.metric("msgs_per_query", msgs, "count");
-        out.metric("bytes_per_query", bytes, "bytes");
+        out.metric("msgs_per_query", per_q.msgs(), "count");
+        out.metric("bytes_per_query", per_q.bytes(), "bytes");
         out.metric("hops_per_query", mean(&hops), "count");
         // No simulated clock here: the time to the complete answer as
         // the client sees it, the same sample as `query_p50_ms`.
@@ -625,10 +654,6 @@ pub fn run(seed: u64, seconds: u64, tr: &mut Tracer, out: &mut Outcome) -> Resul
     let tq = traced_queries.max(1) as f64;
     let (enc_n, enc_ns) = tr.counter("node.wire.encode");
     let (dec_n, dec_ns) = tr.counter("node.wire.decode");
-    let pruned = per_q("search.refine.pruned");
-    let calls = per_q("search.refine.dist_calls");
-    let pub_n = end.publish_hops.0 - hops_before.0;
-    let pub_hops = end.publish_hops.1 - hops_before.1;
     let overhead = median(&traced_lat_ms) / median(&lat_ms) - 1.0;
     crate::absent(
         out,
@@ -654,74 +679,24 @@ pub fn run(seed: u64, seconds: u64, tr: &mut Tracer, out: &mut Outcome) -> Resul
             ("simsearch.engine_ms_per_query", "ms"),
         ],
     );
-    out.metric(
-        "simsearch.routing.splits_per_query",
-        per_q("routing.splits"),
-        "count",
-    );
-    out.metric(
-        "simsearch.msgs.route_per_query",
-        per_q("search.msgs.route"),
-        "count",
-    );
-    out.metric(
-        "simsearch.msgs.refine_per_query",
-        per_q("search.msgs.refine"),
-        "count",
-    );
-    out.metric(
-        "simsearch.msgs.results_per_query",
-        per_q("search.msgs.results"),
-        "count",
-    );
-    out.metric(
-        "simsearch.bytes.query_per_query",
-        per_q("search.bytes.query"),
-        "bytes",
-    );
-    out.metric(
-        "simsearch.bytes.results_per_query",
-        per_q("search.bytes.results"),
-        "bytes",
-    );
-    out.metric(
-        "simsearch.store.scanned_per_query",
-        per_q("store.entries_scanned"),
-        "count",
-    );
-    out.metric(
-        "simsearch.store.matched_per_query",
-        per_q("store.entries_matched"),
-        "count",
-    );
-    out.metric(
-        "simsearch.store.skipped_per_query",
-        per_q("store.entries_skipped"),
-        "count",
-    );
-    out.metric("simsearch.store.load_max", end.load_max as f64, "count");
-    out.metric("simsearch.refine.pruned_per_query", pruned, "count");
-    out.metric(
-        "simsearch.refine.prune_ratio",
-        if pruned + calls > 0.0 {
-            pruned / (pruned + calls)
-        } else {
-            0.0
+    search_layer(
+        out,
+        &per_q,
+        &SearchState {
+            load_max: end.load_max,
+            publishes: (
+                end.publish_hops.0 - hops_before.0,
+                end.publish_hops.1 - hops_before.1,
+            ),
+            traces: end.traces,
+            snapshot_s,
         },
-        "ratio",
     );
     out.metric(
-        "simsearch.publish.hops_per_publish",
-        if pub_n > 0 {
-            pub_hops as f64 / pub_n as f64
-        } else {
-            0.0
-        },
+        "metric.dist_calls_per_query",
+        per_q.get("search.refine.dist_calls"),
         "count",
     );
-    out.metric("simsearch.telemetry.traces", end.traces as f64, "count");
-    out.metric("simsearch.telemetry.snapshot_s", snapshot_s, "s");
-    out.metric("metric.dist_calls_per_query", calls, "count");
     crate::absent(
         out,
         &[
@@ -752,20 +727,12 @@ pub fn run(seed: u64, seconds: u64, tr: &mut Tracer, out: &mut Outcome) -> Resul
     );
     out.metric(
         "node.wire.encode_ns_per_frame",
-        if enc_n > 0 {
-            enc_ns as f64 / enc_n as f64
-        } else {
-            0.0
-        },
+        ratio(enc_ns as f64, enc_n as f64),
         "ns",
     );
     out.metric(
         "node.wire.decode_ns_per_frame",
-        if dec_n > 0 {
-            dec_ns as f64 / dec_n as f64
-        } else {
-            0.0
-        },
+        ratio(dec_ns as f64, dec_n as f64),
         "ns",
     );
     out.metric("node.traces_retained", end.traces as f64, "count");

@@ -23,6 +23,148 @@ pub fn mean(samples: &[f64]) -> f64 {
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
+/// `num / den`, or 0 when nothing was counted.
+pub fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
+}
+
+/// Search-layer counters read per phase: from the simulator's registry,
+/// or summed over the node members' `StatsReport`s.
+pub const COUNTERS: [&str; 11] = [
+    "search.msgs.route",
+    "search.msgs.refine",
+    "search.msgs.results",
+    "search.bytes.query",
+    "search.bytes.results",
+    "routing.splits",
+    "store.entries_scanned",
+    "store.entries_matched",
+    "store.entries_skipped",
+    "search.refine.pruned",
+    "search.refine.dist_calls",
+];
+
+/// Values of `COUNTERS`, in its order.
+pub type Counts = [u64; 11];
+
+/// The growth of each counter over a phase, per query of the phase.
+pub struct PerQuery(Counts, f64);
+
+impl PerQuery {
+    pub fn new(after: &Counts, before: &Counts, queries: usize) -> PerQuery {
+        PerQuery(
+            std::array::from_fn(|i| after[i] - before[i]),
+            queries as f64,
+        )
+    }
+
+    /// Counter `name` per query.
+    pub fn get(&self, name: &str) -> f64 {
+        let i = COUNTERS
+            .iter()
+            .position(|&c| c == name)
+            .expect("counter is in COUNTERS");
+        self.0[i] as f64 / self.1
+    }
+
+    /// Protocol messages per query: delivery plus results.
+    pub fn msgs(&self) -> f64 {
+        self.get("search.msgs.route")
+            + self.get("search.msgs.refine")
+            + self.get("search.msgs.results")
+    }
+
+    /// Query and result bytes per query.
+    pub fn bytes(&self) -> f64 {
+        self.get("search.bytes.query") + self.get("search.bytes.results")
+    }
+}
+
+/// What the search layer holds at the end of a run, beside its counters.
+pub struct SearchState {
+    /// Entries on the most loaded node.
+    pub load_max: u64,
+    /// Publishes of the ingest phase and the hops they took.
+    pub publishes: (u64, u64),
+    /// Query traces retained.
+    pub traces: u64,
+    /// Seconds to read the telemetry out at the end.
+    pub snapshot_s: f64,
+}
+
+/// The `simsearch.*` per-layer metrics both drivers report alike.
+pub fn search_layer(out: &mut Outcome, q: &PerQuery, s: &SearchState) {
+    let pruned = q.get("search.refine.pruned");
+    let calls = q.get("search.refine.dist_calls");
+    for (name, counter, unit) in [
+        (
+            "simsearch.routing.splits_per_query",
+            "routing.splits",
+            "count",
+        ),
+        (
+            "simsearch.msgs.route_per_query",
+            "search.msgs.route",
+            "count",
+        ),
+        (
+            "simsearch.msgs.refine_per_query",
+            "search.msgs.refine",
+            "count",
+        ),
+        (
+            "simsearch.msgs.results_per_query",
+            "search.msgs.results",
+            "count",
+        ),
+        (
+            "simsearch.bytes.query_per_query",
+            "search.bytes.query",
+            "bytes",
+        ),
+        (
+            "simsearch.bytes.results_per_query",
+            "search.bytes.results",
+            "bytes",
+        ),
+        (
+            "simsearch.store.scanned_per_query",
+            "store.entries_scanned",
+            "count",
+        ),
+        (
+            "simsearch.store.matched_per_query",
+            "store.entries_matched",
+            "count",
+        ),
+        (
+            "simsearch.store.skipped_per_query",
+            "store.entries_skipped",
+            "count",
+        ),
+    ] {
+        out.metric(name, q.get(counter), unit);
+    }
+    out.metric("simsearch.store.load_max", s.load_max as f64, "count");
+    out.metric("simsearch.refine.pruned_per_query", pruned, "count");
+    out.metric(
+        "simsearch.refine.prune_ratio",
+        ratio(pruned, pruned + calls),
+        "ratio",
+    );
+    out.metric(
+        "simsearch.publish.hops_per_publish",
+        ratio(s.publishes.1 as f64, s.publishes.0 as f64),
+        "count",
+    );
+    out.metric("simsearch.telemetry.traces", s.traces as f64, "count");
+    out.metric("simsearch.telemetry.snapshot_s", s.snapshot_s, "s");
+}
+
 /// Peak resident set of this process (`VmHWM`), in MB; 0 where the
 /// kernel does not report it.
 pub fn peak_rss_mb() -> f64 {

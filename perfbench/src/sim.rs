@@ -1,14 +1,17 @@
 //! The simulator workloads `sim_ring` and `sim_store`: one run loop for both.
 //!
 //! One run: set the system up several times (landmark selection,
-//! mapping, `SearchSystem::build`), publishing the held-out objects at
-//! runtime after each set-up; check that every held-out object is
-//! stored once and found by a query centred on it; then run distinct
-//! range queries closed loop, one in flight (inject at `now()`, run to
-//! quiescence), checking every answer against brute force. The first
-//! block of queries is a warm-up; the others are timed.
+//! mapping the base, `SearchSystem::build`), publishing the held-out
+//! objects at runtime after each set-up; check that every held-out
+//! object is stored once and found by a query centred on it; then run
+//! distinct range queries closed loop, one in flight (map the query to
+//! the landmarks, inject at `now()`, run to quiescence), checking every
+//! answer against brute force. The first block of queries is a
+//! warm-up; the others are timed.
 
-use crate::measure::{mean, median, percentile, Outcome};
+use crate::measure::{
+    mean, median, percentile, ratio, search_layer, Counts, Outcome, PerQuery, SearchState, COUNTERS,
+};
 use crate::trace::Tracer;
 use crate::truth::{check_contains, check_top_k, Truth};
 use chord::OracleRing;
@@ -22,30 +25,31 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Sizes and knobs of one simulator workload.
+/// Boundary margin around the landmark sample's mapped extent.
+const MARGIN: f64 = 0.05;
+
+/// Seed of the system itself: the landmark sample and
+/// `SystemConfig::seed` (ring identifiers, latency topology). The same
+/// in every run, so every run indexes the same corpus the same way.
+const SYSTEM_SEED: u64 = crate::worlds::CORPUS_SEED;
+
+/// Queries per block; the first block warms up.
+pub const BLOCK: usize = 25;
+
+/// Sizes of one simulator workload.
 pub struct Plan {
     /// Overlay size.
     pub n_nodes: usize,
     /// Landmarks (index-space dimensions).
     pub landmarks: usize,
-    /// Lloyd iterations of the landmark k-means.
-    pub kmeans_iters: usize,
     /// Objects in the landmark-selection sample.
     pub sample: usize,
-    /// Boundary margin around the sample's mapped extent.
-    pub margin: f64,
     /// Set-ups per run; `setup_s` is their median.
     pub setup_reps: usize,
     /// Publishes per timed ingest chunk.
     pub ingest_chunk: usize,
-    /// Queries per block; the first block warms up.
-    pub block: usize,
     /// Relative tolerance when comparing distances.
     pub tol: f64,
-    /// Seed of the system itself: the landmark sample and
-    /// `SystemConfig::seed` (ring identifiers, latency topology). Fixed
-    /// per workload, so every run indexes the same corpus the same way.
-    pub system_seed: u64,
 }
 
 /// Inputs of one simulator workload, made from the seed.
@@ -62,8 +66,8 @@ pub struct World<T, M> {
     pub truth: Vec<Truth>,
     /// The benchmark's own distance, for re-checking answers.
     pub own: fn(&T, &T) -> f64,
-    /// Landmark selection: `(metric, sample, landmarks, iterations, rng)`.
-    pub select: fn(&M, &[T], usize, usize, &mut SimRng) -> Vec<T>,
+    /// Landmark selection: `(metric, sample, landmarks, rng)`.
+    pub select: fn(&M, &[T], usize, &mut SimRng) -> Vec<T>,
 }
 
 /// The distance oracle handed to the system. Query ids below `heldout`
@@ -121,32 +125,9 @@ where
     }
 }
 
-/// Registry counters read per phase.
-const COUNTERS: [&str; 11] = [
-    "search.msgs.route",
-    "search.msgs.refine",
-    "search.msgs.results",
-    "search.bytes.query",
-    "search.bytes.results",
-    "routing.splits",
-    "store.entries_scanned",
-    "store.entries_matched",
-    "store.entries_skipped",
-    "search.refine.pruned",
-    "search.refine.dist_calls",
-];
-
-fn counters(sys: &SearchSystem) -> [u64; 11] {
+fn counters(sys: &SearchSystem) -> Counts {
     let st = sys.telemetry().lock();
     COUNTERS.map(|c| st.registry.counter(c))
-}
-
-fn delta(after: &[u64; 11], before: &[u64; 11], name: &str) -> u64 {
-    let i = COUNTERS
-        .iter()
-        .position(|&c| c == name)
-        .expect("counter is in COUNTERS");
-    after[i] - before[i]
 }
 
 fn publish_hops(sys: &SearchSystem) -> (u64, u64) {
@@ -159,15 +140,18 @@ fn publish_hops(sys: &SearchSystem) -> (u64, u64) {
 /// What one set-up produced.
 struct Built<T, Q: ?Sized, M> {
     sys: SearchSystem,
-    boundary: Vec<(f64, f64)>,
+    mapper: Mapper<T, M>,
     oracle: Arc<Oracle<T, Q, M>>,
-    points: Vec<Vec<f64>>,
-    qpoints: Vec<Vec<f64>>,
+    /// Index points of the held-out objects, as the ingest maps them.
+    heldout: Vec<Vec<f64>>,
+    /// Publishes of the ingest and the hops they took.
+    publishes: (u64, u64),
 }
 
-/// Landmark selection, mapping and `SearchSystem::build` — everything
-/// `setup_s` covers. The traced run also times the topology and the
-/// routing tables by calling the same constructors `build` uses.
+/// Landmark selection, mapping the base and `SearchSystem::build` —
+/// everything `setup_s` covers. The traced run also times the topology
+/// and the routing tables by calling the same constructors `build`
+/// uses.
 fn set_up<T, Q, M>(plan: &Plan, world: &World<T, M>, metric: &M, tr: &mut Tracer) -> Built<T, Q, M>
 where
     T: Borrow<Q> + Clone + Send + Sync + 'static,
@@ -175,25 +159,24 @@ where
     M: Metric<Q> + Clone + Sync + Send + 'static,
 {
     let span = tr.begin("landmark.select", 0);
-    let mut rng = SimRng::new(plan.system_seed).fork(0x1A4D);
+    let mut rng = SimRng::new(SYSTEM_SEED).fork(0x1A4D);
     let sample: Vec<T> = rng
         .sample_indices(world.base, plan.sample)
         .into_iter()
         .map(|i| world.objects[i].clone())
         .collect();
-    let landmarks = (world.select)(metric, &sample, plan.landmarks, plan.kmeans_iters, &mut rng);
+    let landmarks = (world.select)(metric, &sample, plan.landmarks, &mut rng);
     tr.end(span);
 
     let span = tr.begin("landmark.map", 0);
     let mapper = Mapper::new(metric.clone(), landmarks);
-    let points = mapper.map_all::<Q, T>(&world.objects);
-    let qpoints = mapper.map_all::<Q, T>(&world.queries);
-    let boundary = boundary_from_sample::<T, Q, M>(&mapper, &sample, plan.margin).dims;
+    let points = mapper.map_all::<Q, T>(&world.objects[..world.base]);
+    let boundary = boundary_from_sample::<T, Q, M>(&mapper, &sample, MARGIN).dims;
     tr.end(span);
 
     let cfg = SystemConfig {
         n_nodes: plan.n_nodes,
-        seed: plan.system_seed,
+        seed: SYSTEM_SEED,
         threads: 1,
         force_parallel: false,
         ..SystemConfig::default()
@@ -230,8 +213,8 @@ where
     });
     let spec = IndexSpec {
         name: "bench".to_string(),
-        boundary: boundary.clone(),
-        points: points[..world.base].to_vec(),
+        boundary,
+        points,
         rotate: false,
         rotation: None,
     };
@@ -241,11 +224,78 @@ where
     tr.end(span);
     Built {
         sys,
-        boundary,
+        mapper,
         oracle,
-        points,
-        qpoints,
+        heldout: Vec::new(),
+        publishes: (0, 0),
     }
+}
+
+/// Timings of every set-up and ingest of a run.
+#[derive(Default)]
+struct Samples {
+    /// Seconds per set-up.
+    setup_s: Vec<f64>,
+    /// Publishes per second of each ingest chunk but the first.
+    ingest: Vec<f64>,
+}
+
+/// One timed set-up, then the held-out objects published at runtime,
+/// timed in chunks; checks that the stores grow by the batch. A
+/// publish maps its object to the landmarks inside the timed chunk.
+fn build_and_ingest<T, Q, M>(
+    plan: &Plan,
+    world: &World<T, M>,
+    metric: &M,
+    seed: u64,
+    tr: &mut Tracer,
+    out: &mut Outcome,
+    samples: &mut Samples,
+) -> Built<T, Q, M>
+where
+    T: Borrow<Q> + Clone + Send + Sync + 'static,
+    Q: ?Sized + Sync + 'static,
+    M: Metric<Q> + Clone + Sync + Send + 'static,
+{
+    let rep = samples.setup_s.len();
+    let heldout = world.objects.len() - world.base;
+    let span = tr.begin("setup", rep as u64);
+    let t = Instant::now();
+    let mut b = set_up(plan, world, metric, tr);
+    samples.setup_s.push(t.elapsed().as_secs_f64());
+    tr.end(span);
+
+    let before = b.sys.total_entries(0);
+    let hops_before = publish_hops(&b.sys);
+    let ids: Vec<usize> = (world.base..world.objects.len()).collect();
+    for (c, chunk) in ids.chunks(plan.ingest_chunk).enumerate() {
+        let span = tr.begin("simsearch.publish_chunk", c as u64);
+        let t = Instant::now();
+        for &obj in chunk {
+            let point = b.mapper.map(world.objects[obj].borrow()).into_vec();
+            let origin = heldout_origin(seed, obj - world.base, plan.n_nodes);
+            let now = b.sys.now();
+            b.sys
+                .inject_publish(now, origin, 0, ObjectId(obj as u32), &point);
+            b.sys.run_to_quiescence();
+            b.heldout.push(point);
+        }
+        let dt = t.elapsed().as_secs_f64();
+        tr.end(span);
+        // The first chunk of every ingest warms the stores up.
+        if c > 0 {
+            samples.ingest.push(chunk.len() as f64 / dt);
+        }
+    }
+    let after = b.sys.total_entries(0);
+    if after != before + heldout {
+        out.problem(format!(
+            "set-up {rep}: ingest of {heldout} objects grew the stores from {before} to {after}"
+        ));
+    }
+    let hops_after = publish_hops(&b.sys);
+    b.publishes = (hops_after.0 - hops_before.0, hops_after.1 - hops_before.1);
+    b
 }
 
 /// `SearchSystem::inject_query`, with a panic inside it turned into an
@@ -304,65 +354,30 @@ pub fn run<T, Q, M>(
         }
     }
 
-    // Set-up and ingest, several times; the last system stays.
-    let mut setup_s = Vec::new();
-    let mut ingest_rates = Vec::new();
-    let mut last: Option<Built<T, Q, M>> = None;
-    let mut hops_before = (0, 0);
-    for rep in 0..plan.setup_reps {
-        drop(last.take());
-        let span = tr.begin("setup", rep as u64);
-        let t = Instant::now();
-        let mut b = set_up(plan, &world, &metric, tr);
-        setup_s.push(t.elapsed().as_secs_f64());
-        tr.end(span);
-
-        let before = b.sys.total_entries(0);
-        hops_before = publish_hops(&b.sys);
-        let ids: Vec<usize> = (world.base..world.objects.len()).collect();
-        for (c, chunk) in ids.chunks(plan.ingest_chunk).enumerate() {
-            let span = tr.begin("simsearch.publish_chunk", c as u64);
-            let t = Instant::now();
-            for &obj in chunk {
-                let origin = heldout_origin(seed, obj - world.base, plan.n_nodes);
-                let now = b.sys.now();
-                b.sys
-                    .inject_publish(now, origin, 0, ObjectId(obj as u32), &b.points[obj]);
-                b.sys.run_to_quiescence();
-            }
-            let dt = t.elapsed().as_secs_f64();
-            tr.end(span);
-            // The first chunk of every ingest warms the stores up.
-            if c > 0 {
-                ingest_rates.push(chunk.len() as f64 / dt);
-            }
-        }
-        let after = b.sys.total_entries(0);
-        if after != before + heldout {
-            out.problem(format!(
-                "set-up {rep}: ingest of {heldout} objects grew the stores from {before} to {after}"
-            ));
-        }
-        last = Some(b);
-    }
+    // Set-ups: the first builds the system the checks and the queries
+    // run on; each of the others builds a system of its own between
+    // query blocks, publishes the held-out objects into it and drops
+    // it. Set-up and ingest samples so span the run as the query
+    // blocks do, and a slow stretch of the host weighs on every metric
+    // alike.
+    let mut samples = Samples::default();
     let Built {
         mut sys,
-        boundary,
+        mapper,
         oracle,
-        points,
-        qpoints,
-    } = last.expect("at least one set-up");
-    let hops_after = publish_hops(&sys);
+        heldout: heldout_points,
+        publishes,
+    } = build_and_ingest(plan, &world, &metric, seed, tr, out, &mut samples);
     let load_max = sys.load_per_node(0).into_iter().max().unwrap_or(0);
 
     // Each held-out object must come back from a query centred on it.
     let own = world.own;
-    for h in 0..heldout {
+    for (h, point) in heldout_points.into_iter().enumerate() {
         let obj = world.base + h;
         let origin = heldout_origin(seed, h, plan.n_nodes);
         let q = QuerySpec {
             index: 0,
-            point: points[obj].clone(),
+            point,
             radius: 0.0,
             truth: Vec::new(),
         };
@@ -392,34 +407,7 @@ pub fn run<T, Q, M>(
 
     // Queries run in blocks: block 0 warms up; the others are timed,
     // and the traced run alternates traced and untraced blocks. Counts
-    // cover every query. A query centred further below the index
-    // boundary than its radius makes `SearchSystem::inject_query` panic
-    // (`Rect::ball` clips it to a point outside the boundary); such
-    // queries are left out.
-    let specs: Vec<(usize, QuerySpec)> = (0..n_queries)
-        .filter(|&i| {
-            let r = world.truth[i].radius;
-            qpoints[i]
-                .iter()
-                .zip(&boundary)
-                .all(|(&c, &(lo, _))| c + r >= lo)
-        })
-        .map(|i| {
-            let spec = QuerySpec {
-                index: 0,
-                point: qpoints[i].clone(),
-                radius: world.truth[i].radius,
-                truth: Vec::new(),
-            };
-            (i, spec)
-        })
-        .collect();
-    if specs.len() < n_queries {
-        eprintln!(
-            "perfbench: {} of {n_queries} queries left out: centred below the boundary by more than their radius",
-            n_queries - specs.len()
-        );
-    }
+    // cover every query.
     let mut lat_ms = Vec::new();
     let mut traced_lat_ms = Vec::new();
     let mut block_rates = Vec::new();
@@ -429,39 +417,63 @@ pub fn run<T, Q, M>(
     let before = counters(&sys);
     let events_before = sys.net_stats().events;
     let (calls0, ns0) = oracle.totals();
-    for (b, block) in specs.chunks(plan.block).enumerate() {
+    let ids: Vec<usize> = (0..n_queries).collect();
+    let gap = (n_queries / BLOCK / plan.setup_reps).max(1);
+    for (b, block) in ids.chunks(BLOCK).enumerate() {
+        if b % gap == 0 && b > 0 && samples.setup_s.len() < plan.setup_reps {
+            drop(build_and_ingest(
+                plan,
+                &world,
+                &metric,
+                seed,
+                tr,
+                out,
+                &mut samples,
+            ));
+        }
         let traced = tr.on() && b % 2 == 1;
         oracle.timed.store(traced, Ordering::Relaxed);
         let block_events = sys.net_stats().events;
         let t_block = Instant::now();
-        for (i, spec) in block {
+        for &i in block {
             let qid = (heldout + i) as QueryId;
-            let origin = AgentId(world.origins[*i]);
+            let origin = AgentId(world.origins[i]);
             let span = tr.begin_if(traced, "query", u64::from(qid));
-            let inner = tr.begin_if(traced, "simsearch.run", u64::from(qid));
             let t = Instant::now();
+            let inner = tr.begin_if(traced, "landmark.map_query", u64::from(qid));
+            let spec = QuerySpec {
+                index: 0,
+                point: mapper.map(world.queries[i].borrow()).into_vec(),
+                radius: world.truth[i].radius,
+                truth: Vec::new(),
+            };
+            tr.end(inner);
+            let inner = tr.begin_if(traced, "simsearch.run", u64::from(qid));
             let now = sys.now();
-            sys.inject_query(now, origin, qid, spec);
-            sys.run_to_quiescence();
+            let injected = inject(&mut sys, now, origin, qid, &spec);
+            if injected.is_ok() {
+                sys.run_to_quiescence();
+            }
             let ms = t.elapsed().as_secs_f64() * 1e3;
             run_ns += tr.end(inner);
-            match (b, traced) {
-                (0, _) => {}
-                (_, true) => traced_lat_ms.push(ms),
-                (_, false) => lat_ms.push(ms),
-            }
-            let verdict = match sys.issued_query(origin, qid) {
-                None => Err(format!("query {qid} was never issued")),
-                Some(iq) => {
+            let verdict = match (injected, sys.issued_query(origin, qid)) {
+                (Err(e), _) => Err(format!("query {qid}: {e}")),
+                (Ok(()), None) => Err(format!("query {qid} was never issued")),
+                (Ok(()), Some(iq)) => {
                     hops.push(f64::from(iq.max_hops));
                     if let Some(last) = iq.last_result {
                         response_ms.push(last.since(iq.issued_at).as_millis_f64());
                     }
+                    match (b, traced) {
+                        (0, _) => {}
+                        (_, true) => traced_lat_ms.push(ms),
+                        (_, false) => lat_ms.push(ms),
+                    }
                     let got: Vec<(u32, f64)> = iq.merged.iter().map(|&(o, d)| (o.0, d)).collect();
-                    let center = &world.queries[*i];
+                    let center = &world.queries[i];
                     check_top_k(
                         &got,
-                        &world.truth[*i],
+                        &world.truth[i],
                         |id| own(center, &world.objects[id as usize]),
                         plan.tol,
                     )
@@ -479,17 +491,19 @@ pub fn run<T, Q, M>(
         }
     }
     oracle.timed.store(false, Ordering::Relaxed);
+    if lat_ms.is_empty() || hops.is_empty() || response_ms.is_empty() {
+        out.problem("no query completed in the timed blocks".into());
+        return;
+    }
     let (calls1, ns1) = oracle.totals();
     let (dist_calls, dist_ns) = (calls1 - calls0, ns1 - ns0);
     tr.count("metric.distance", dist_calls, dist_ns);
-    let totals = counters(&sys);
+    let per_q = PerQuery::new(&counters(&sys), &before, n_queries);
     let events_all = sys.net_stats().events - events_before;
-
-    let nq = specs.len() as f64;
-    let per_q = |name: &str| delta(&totals, &before, name) as f64 / nq;
-    let msgs =
-        per_q("search.msgs.route") + per_q("search.msgs.refine") + per_q("search.msgs.results");
-    let bytes = per_q("search.bytes.query") + per_q("search.bytes.results");
+    let Samples {
+        setup_s,
+        ingest: ingest_rates,
+    } = samples;
     let setup_med = median(&setup_s);
 
     if !tr.on() {
@@ -498,8 +512,8 @@ pub fn run<T, Q, M>(
         out.metric("query_p50_ms", median(&lat_ms), "ms");
         out.metric("query_p90_ms", percentile(&lat_ms, 90.0), "ms");
         out.metric("ingest_per_s", median(&ingest_rates), "1/s");
-        out.metric("msgs_per_query", msgs, "count");
-        out.metric("bytes_per_query", bytes, "bytes");
+        out.metric("msgs_per_query", per_q.msgs(), "count");
+        out.metric("bytes_per_query", per_q.bytes(), "bytes");
         out.metric("hops_per_query", mean(&hops), "count");
         out.metric("response_sim_p50_ms", median(&response_ms), "ms");
         return;
@@ -525,16 +539,17 @@ pub fn run<T, Q, M>(
             median(&d)
         }
     };
-    let traces = sys.telemetry().lock().traces.len();
-    let pruned = per_q("search.refine.pruned");
-    let calls = per_q("search.refine.dist_calls");
-    let (pub_n, pub_hops) = (hops_after.0 - hops_before.0, hops_after.1 - hops_before.1);
+    let traces = sys.telemetry().lock().traces.len() as u64;
     let overhead = median(&traced_lat_ms) / median(&lat_ms) - 1.0;
 
     out.metric("landmark.select_s", med_span("landmark.select"), "s");
     out.metric("landmark.map_s", med_span("landmark.map"), "s");
     out.metric("simnet.topology_s", med_span("simnet.topology"), "s");
-    out.metric("simnet.events_per_query", events_all as f64 / nq, "count");
+    out.metric(
+        "simnet.events_per_query",
+        events_all as f64 / n_queries as f64,
+        "count",
+    );
     out.metric(
         "simnet.events_per_s",
         events_traced as f64 / (run_ns as f64 / 1e9),
@@ -552,73 +567,16 @@ pub fn run<T, Q, M>(
         (run_ns.saturating_sub(dist_ns)) as f64 / 1e6 / tq,
         "ms",
     );
-    out.metric(
-        "simsearch.routing.splits_per_query",
-        per_q("routing.splits"),
-        "count",
-    );
-    out.metric(
-        "simsearch.msgs.route_per_query",
-        per_q("search.msgs.route"),
-        "count",
-    );
-    out.metric(
-        "simsearch.msgs.refine_per_query",
-        per_q("search.msgs.refine"),
-        "count",
-    );
-    out.metric(
-        "simsearch.msgs.results_per_query",
-        per_q("search.msgs.results"),
-        "count",
-    );
-    out.metric(
-        "simsearch.bytes.query_per_query",
-        per_q("search.bytes.query"),
-        "bytes",
-    );
-    out.metric(
-        "simsearch.bytes.results_per_query",
-        per_q("search.bytes.results"),
-        "bytes",
-    );
-    out.metric(
-        "simsearch.store.scanned_per_query",
-        per_q("store.entries_scanned"),
-        "count",
-    );
-    out.metric(
-        "simsearch.store.matched_per_query",
-        per_q("store.entries_matched"),
-        "count",
-    );
-    out.metric(
-        "simsearch.store.skipped_per_query",
-        per_q("store.entries_skipped"),
-        "count",
-    );
-    out.metric("simsearch.store.load_max", load_max as f64, "count");
-    out.metric("simsearch.refine.pruned_per_query", pruned, "count");
-    out.metric(
-        "simsearch.refine.prune_ratio",
-        if pruned + calls > 0.0 {
-            pruned / (pruned + calls)
-        } else {
-            0.0
+    search_layer(
+        out,
+        &per_q,
+        &SearchState {
+            load_max: load_max as u64,
+            publishes,
+            traces,
+            snapshot_s,
         },
-        "ratio",
     );
-    out.metric(
-        "simsearch.publish.hops_per_publish",
-        if pub_n > 0 {
-            pub_hops as f64 / pub_n as f64
-        } else {
-            0.0
-        },
-        "count",
-    );
-    out.metric("simsearch.telemetry.traces", traces as f64, "count");
-    out.metric("simsearch.telemetry.snapshot_s", snapshot_s, "s");
     out.metric(
         "metric.dist_calls_per_query",
         dist_calls as f64 / tq,
@@ -627,11 +585,7 @@ pub fn run<T, Q, M>(
     out.metric("metric.dist_ms_per_query", dist_ns as f64 / 1e6 / tq, "ms");
     out.metric(
         "metric.dist_ns_per_call",
-        if dist_calls > 0 {
-            dist_ns as f64 / dist_calls as f64
-        } else {
-            0.0
-        },
+        ratio(dist_ns as f64, dist_calls as f64),
         "ns",
     );
     crate::absent(out, crate::NODE_LAYER);

@@ -1,7 +1,7 @@
 //! Inputs of the two simulator workloads, made from the seed.
 
 use crate::measure::Outcome;
-use crate::sim::{self, Plan, World};
+use crate::sim::{self, Plan, World, BLOCK};
 use crate::trace::Tracer;
 use crate::truth::{brute_force, l2_f32, levenshtein, par_map};
 use landmark::{greedy, kmeans};
@@ -18,7 +18,7 @@ const K: usize = 10;
 /// the corpus, the landmarks and the overlay stay the same, so runs
 /// with different seeds measure the same system on different samples
 /// of its query stream.
-const CORPUS_SEED: u64 = 0x00C0_4B05;
+pub const CORPUS_SEED: u64 = 0x00C0_4B05;
 
 /// Queries of a run of `seconds`: `per_10s` per ten seconds, at least
 /// ten blocks. The work of a run is fixed by its arguments, never by
@@ -34,7 +34,6 @@ pub fn queries_for(seconds: u64, per_10s: usize, block: usize) -> usize {
 pub fn sim_ring(seed: u64, seconds: u64, tr: &mut Tracer, out: &mut Outcome) -> Result<(), String> {
     const BASE: usize = 20_000;
     const HELDOUT: usize = 2_000;
-    const BLOCK: usize = 25;
     /// Radius as a share of the data box's diameter.
     const WIDE: f64 = 0.035;
     let n_queries = queries_for(seconds, 750, BLOCK);
@@ -72,14 +71,10 @@ pub fn sim_ring(seed: u64, seconds: u64, tr: &mut Tracer, out: &mut Outcome) -> 
     let plan = Plan {
         n_nodes: 4096,
         landmarks: 5,
-        kmeans_iters: 10,
         sample: 250,
-        margin: 0.05,
-        setup_reps: 7,
+        setup_reps: 15,
         ingest_chunk: 200,
-        block: BLOCK,
         tol: 1e-6,
-        system_seed: CORPUS_SEED,
     };
     let world = World {
         objects,
@@ -88,7 +83,7 @@ pub fn sim_ring(seed: u64, seconds: u64, tr: &mut Tracer, out: &mut Outcome) -> 
         origins: origins(seed, n_queries, plan.n_nodes),
         truth,
         own: |a: &Vec<f32>, b: &Vec<f32>| l2_f32(a, b),
-        select: |m, sample, k, iters, rng| kmeans::<_, [f32], _>(m, sample, k, iters, rng),
+        select: |m, sample, k, rng| kmeans::<_, [f32], _>(m, sample, k, 10, rng),
     };
     sim::run::<Vec<f32>, [f32], L2>(&plan, world, L2::bounded(12, 0.0, 100.0), seed, tr, out);
     Ok(())
@@ -107,8 +102,7 @@ pub fn sim_store(
     const FAMILIES: usize = 1_000;
     const MEMBERS: usize = 9;
     const HELDOUT: usize = 1_000;
-    const BLOCK: usize = 25;
-    let n_queries = queries_for(seconds, 300, BLOCK);
+    let n_queries = queries_for(seconds, 125, BLOCK);
     let population = StringWorkload::generate(
         StringWorkloadParams {
             families: FAMILIES,
@@ -157,14 +151,10 @@ pub fn sim_store(
     let plan = Plan {
         n_nodes: 64,
         landmarks: 8,
-        kmeans_iters: 0,
         sample: 300,
-        margin: 0.05,
-        setup_reps: 5,
+        setup_reps: 9,
         ingest_chunk: 100,
-        block: BLOCK,
         tol: 0.0,
-        system_seed: CORPUS_SEED,
     };
     let world = World {
         base: objects.len() - HELDOUT,
@@ -173,7 +163,7 @@ pub fn sim_store(
         origins: origins(seed, n_queries, plan.n_nodes),
         truth,
         own: |a: &Vec<u8>, b: &Vec<u8>| levenshtein(a, b),
-        select: |m, sample, k, _iters, rng| greedy::<_, [u8], _>(m, sample, k, rng),
+        select: |m, sample, k, rng| greedy::<_, [u8], _>(m, sample, k, rng),
     };
     sim::run::<Vec<u8>, [u8], EditDistance>(&plan, world, EditDistance, seed, tr, out);
     Ok(())

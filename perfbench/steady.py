@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Steadiness check for the benchmark in BENCHMARK.json.
 
-Runs every workload `--runs` times with seeds seed, seed+1, ..., in an
-order that alternates between passes, then runs each workload once more
-with the first seed. For each end-to-end metric it prints the median,
-the quartiles and their spread (Q3 - Q1) / median against the metric's
-bound, and it checks that the failed share is the same in every run and
-that the deterministic counts of the simulator workloads repeat exactly
-on the repeated seed. Exits non-zero if a check fails.
+Runs two sets of `--runs` runs of every workload, the first with seeds
+seed .. seed+runs-1 and the second with the next `--runs` seeds. The
+runs of the two sets alternate, and the workload order flips from one
+pass to the next, so that a slow drift of the host loads both sets
+alike. For each end-to-end metric it prints the median and quartiles
+of each set, the spread (Q3 - Q1) / median of each set and the
+relative difference between the two medians, and checks the spreads
+and the difference against the metric's bound. It also checks that
+every run is correct with the same share of failed operations, and
+that on the simulator workloads the deterministic counts repeat
+exactly when the first seed runs again. Exits 1 if any check fails.
 
     python3 perfbench/steady.py --seed 1 [--runs 10] [--workloads a,b]
 
@@ -38,6 +42,12 @@ def run(bench, workload, seed):
     return result
 
 
+def summary(vals):
+    med = statistics.median(vals)
+    q1, _, q3 = statistics.quantiles(vals, n=4)
+    return med, q1, q3, (q3 - q1) / med
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, required=True)
@@ -49,43 +59,47 @@ def main():
     workloads = [w["name"] for w in bench["workloads"]]
     if args.workloads:
         workloads = args.workloads.split(",")
-    results = {w: [] for w in workloads}
+    seeds = [[args.seed + s * args.runs + i for i in range(args.runs)] for s in (0, 1)]
+    results = {w: ([], []) for w in workloads}
     for i in range(args.runs):
         order = workloads if i % 2 == 0 else workloads[::-1]
+        sets = (0, 1) if i % 2 == 0 else (1, 0)
         for w in order:
-            results[w].append(run(bench, w, args.seed + i))
+            for s in sets:
+                results[w][s].append(run(bench, w, seeds[s][i]))
     ok = True
     for w in workloads:
-        rs = results[w]
-        print(f"\n{w}: {len(rs)} runs, seeds {args.seed}..{args.seed + len(rs) - 1}")
-        shares = {r["failed"] / r["attempted"] for r in rs}
-        if len(shares) != 1 or not all(r["correct"] for r in rs):
-            print(f"  FAIL: failed shares {sorted(shares)}, correct {[r['correct'] for r in rs]}")
+        print(f"\n{w}: two sets of {args.runs} runs, seeds {seeds[0][0]}..{seeds[0][-1]} "
+              f"and {seeds[1][0]}..{seeds[1][-1]}")
+        everyone = results[w][0] + results[w][1]
+        shares = {r["failed"] / r["attempted"] for r in everyone}
+        if len(shares) != 1 or not all(r["correct"] for r in everyone):
+            print(f"  FAIL: failed shares {sorted(shares)}, correct "
+                  f"{[r['correct'] for r in everyone]}")
             ok = False
+        else:
+            print(f"  failed share {shares.pop():.6g} in every run")
+        print(f"  {'metric':<20} {'median 1':>12} {'q1':>11} {'q3':>11} {'spread 1':>8} "
+              f"{'median 2':>12} {'spread 2':>8} {'diff':>7} {'bound':>6}")
         for m in bench["end_to_end"]:
-            vals = [r["metrics"][m["name"]]["value"] for r in rs]
-            med = statistics.median(vals)
-            q1, _, q3 = statistics.quantiles(vals, n=4)
-            spread = (q3 - q1) / med if med else float("inf")
-            gate = m["bound"] / 3
-            verdict = "ok" if spread <= gate or m["name"] == "setup_s" and spread <= m["bound"] else "WIDE"
-            if verdict != "ok":
-                ok = False
-            print(f"  {m['name']:<22} median {med:14.6g} {m['unit']:<6} q1 {q1:12.6g} q3 {q3:12.6g} "
-                  f"spread {spread:7.2%} bound/3 {gate:6.2%} {verdict}")
-        again = run(bench, w, args.seed)
-        first = rs[0]
-        if (again["attempted"], again["failed"]) != (first["attempted"], first["failed"]):
-            print("  FAIL: operation counts differ on the repeated seed")
-            ok = False
+            med1, q1, q3, spread1 = summary([r["metrics"][m["name"]]["value"] for r in results[w][0]])
+            med2, _, _, spread2 = summary([r["metrics"][m["name"]]["value"] for r in results[w][1]])
+            diff = (med2 - med1) / med1
+            bad = max(spread1, spread2, abs(diff)) > m["bound"]
+            ok = ok and not bad
+            print(f"  {m['name']:<20} {med1:12.6g} {q1:11.6g} {q3:11.6g} {spread1:8.2%} "
+                  f"{med2:12.6g} {spread2:8.2%} {diff:+7.2%} {m['bound']:6.0%} "
+                  f"{'OVER' if bad else 'ok'}")
         if w.startswith("sim_"):
+            first = results[w][0][0]
+            again = run(bench, w, seeds[0][0])
             for name in DETERMINISTIC:
                 a, b = first["metrics"][name]["value"], again["metrics"][name]["value"]
                 if a != b:
-                    print(f"  FAIL: {name} {a} then {b} on seed {args.seed}")
+                    print(f"  FAIL: {name} {a} then {b} on seed {seeds[0][0]}")
                     ok = False
-            print(f"  deterministic counts repeat on seed {args.seed}: "
-                  + ", ".join(f"{n}={first['metrics'][n]['value']}" for n in DETERMINISTIC))
+            print(f"  on seed {seeds[0][0]} again: "
+                  + ", ".join(f"{n} {again['metrics'][n]['value']}" for n in DETERMINISTIC))
     print("\nsteady" if ok else "\nNOT steady")
     sys.exit(0 if ok else 1)
 
